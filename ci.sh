@@ -6,6 +6,8 @@
 #   * go vet           — stock static analysis
 #   * go test -race    — the dynamic half of the purity/lock story: every
 #                        test runs under the race detector, module-wide
+#   * fuzz             — FuzzDecodeRowJSON: the one-pass row decoder against
+#                        its encoding/json oracle, 10s past the seed corpus
 #   * gofmt            — formatting gate (testdata fixtures excluded: the
 #                        loader-edge fixture deliberately contains a
 #                        vendored file that is not valid Go)
@@ -58,6 +60,11 @@ go vet ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# The one-pass row decoder must agree with the encoding/json oracle on
+# every input: a short differential fuzz run on top of the seed corpus.
+echo "==> go test -run='^\$' -fuzz=FuzzDecodeRowJSON -fuzztime=10s ./internal/value"
+go test -run='^$' -fuzz=FuzzDecodeRowJSON -fuzztime=10s ./internal/value
 
 # sjvet runs against the reviewed baseline (fresh findings fail; stale
 # baseline entries also fail, so the baseline can only shrink alongside a

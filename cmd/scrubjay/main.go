@@ -485,6 +485,9 @@ func cmdRun(args []string) error {
 }
 
 func emit(result *dataset.Dataset, out string, show int) error {
+	// Materialise the result once: Count fills the cache that Show and the
+	// sink writer then read, instead of each re-running the final stage.
+	result = dataset.New(result.Name(), result.Rows().Cache(), result.Schema())
 	fmt.Printf("result: %d rows, schema %s\n", result.Count(), result.Schema())
 	if show > 0 {
 		fmt.Print(result.Show(show))

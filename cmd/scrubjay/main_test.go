@@ -3,10 +3,14 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scrubjay/internal/bench"
+	"scrubjay/internal/dataset"
 	"scrubjay/internal/rdd"
+	"scrubjay/internal/semantics"
+	"scrubjay/internal/value"
 	"scrubjay/internal/wrappers"
 )
 
@@ -211,5 +215,37 @@ func TestLoadCatalogKV(t *testing.T) {
 		"-show", "1",
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmitMaterializesOnce pins that emit evaluates the final stage once:
+// Count, Show and the sink writer all read one cached materialisation, so
+// the rdd metrics record a single stage over the result's lineage — for a
+// row-form and a columnar result alike.
+func TestEmitMaterializesOnce(t *testing.T) {
+	schema := semantics.NewSchema("n", semantics.ValueEntry("count", "count"))
+	var rows []value.Row
+	for i := 0; i < 40; i++ {
+		rows = append(rows, value.NewRow("n", value.Int(int64(i))))
+	}
+	ctx := rdd.NewContext(2)
+	for _, result := range []*dataset.Dataset{
+		dataset.FromRows(ctx, "final", rows, schema, 3),
+		dataset.FromRowsColumnar(ctx, "final", rows, schema, 3),
+	} {
+		ctx.ResetMetrics()
+		out := filepath.Join(t.TempDir(), "result.csv")
+		if err := emit(result, "csv:"+out, 2); err != nil {
+			t.Fatal(err)
+		}
+		var stages []string
+		for _, st := range ctx.SnapshotMetrics().Stages {
+			if strings.HasPrefix(st.Name, "final") {
+				stages = append(stages, st.Name)
+			}
+		}
+		if len(stages) != 1 {
+			t.Errorf("columnar=%v: final stage materialised %d times: %v", result.IsColumnar(), len(stages), stages)
+		}
 	}
 }

@@ -98,8 +98,9 @@ type StreamTrailer struct {
 	Error         string `json:"error,omitempty"`
 }
 
-// StreamLine is the client-side decoding union for one line of a row
-// stream: exactly one field is set.
+// StreamLine is one line of a row stream: exactly one field is set. A row
+// with no present cells renders as the bare {} line (Row's omitempty); the
+// client reads that line as an empty row.
 type StreamLine struct {
 	Header  *StreamHeader  `json:"header,omitempty"`
 	Row     value.Row      `json:"row,omitempty"`

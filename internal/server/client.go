@@ -56,6 +56,16 @@ func (e *StreamBrokenError) Error() string {
 
 func (e *StreamBrokenError) Unwrap() error { return e.Cause }
 
+// StreamRowCountError is the cause of a StreamBrokenError whose trailer
+// reports a different row count from the rows the stream carried.
+type StreamRowCountError struct {
+	Rows, TrailerRows int64
+}
+
+func (e *StreamRowCountError) Error() string {
+	return fmt.Sprintf("stream carried %d rows, trailer reports %d", e.Rows, e.TrailerRows)
+}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
@@ -187,9 +197,12 @@ func (c *Client) Catalog() (CatalogResponse, error) {
 	return out, err
 }
 
-// readRowStream consumes an NDJSON row stream. A stream that breaks after
-// the 200 began returns *StreamBrokenError — the signal sjload uses to
-// count dropped in-flight queries.
+// readRowStream consumes an NDJSON row stream. Row lines, the bulk of the
+// stream, go straight to one value.Decoder; only the header and trailer
+// lines go through encoding/json. A stream that breaks after the 200
+// began, or whose rows do not add up to its trailer's count, returns
+// *StreamBrokenError — the signal sjload uses to count dropped in-flight
+// queries.
 func readRowStream(resp *http.Response) (StreamHeader, []value.Row, StreamTrailer, error) {
 	defer resp.Body.Close()
 	var header *StreamHeader
@@ -202,9 +215,18 @@ func readRowStream(resp *http.Response) (StreamHeader, []value.Row, StreamTraile
 		}
 		return h, rows, StreamTrailer{}, &StreamBrokenError{Cause: cause, RowsRead: int64(len(rows))}
 	}
+	dec := value.NewDecoder()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
 	for sc.Scan() {
+		if body, ok := rowLineBody(sc.Bytes()); ok {
+			row, err := dec.DecodeRow(body)
+			if err != nil {
+				return broken(fmt.Errorf("undecodable row line: %w", err))
+			}
+			rows = append(rows, row)
+			continue
+		}
 		var line StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			return broken(fmt.Errorf("undecodable line: %w", err))
@@ -227,5 +249,19 @@ func readRowStream(resp *http.Response) (StreamHeader, []value.Row, StreamTraile
 	if trailer.Error != "" {
 		return *header, rows, *trailer, fmt.Errorf("server: %s", trailer.Error)
 	}
+	if int64(len(rows)) != trailer.Rows {
+		return broken(&StreamRowCountError{Rows: int64(len(rows)), TrailerRows: trailer.Rows})
+	}
 	return *header, rows, *trailer, nil
+}
+
+// rowLineBody returns the row object a row line carries: the value of a
+// {"row":…} line as the server writes it, or the whole bare {} line the
+// server writes for a row with no present cells.
+func rowLineBody(line []byte) ([]byte, bool) {
+	const prefix = `{"row":`
+	if len(line) > len(prefix) && string(line[:len(prefix)]) == prefix && line[len(line)-1] == '}' {
+		return line[len(prefix) : len(line)-1], true
+	}
+	return line, string(line) == "{}"
 }

@@ -115,3 +115,52 @@ func TestClientDetectsBrokenStream(t *testing.T) {
 		t.Fatalf("err = %v, want StreamBrokenError", err)
 	}
 }
+
+// streamServer answers every request with the given NDJSON lines.
+func streamServer(lines ...string) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		for _, l := range lines {
+			w.Write([]byte(l + "\n"))
+		}
+	}))
+}
+
+const (
+	testStreamHeader = `{"header":{"plan_hash":"x","steps":["source:a"],"schema":{}}}`
+	testStreamRow    = `{"row":{"a":{"k":"int","n":1}}}`
+)
+
+// TestClientKeepsEmptyRows: a row with no present cells travels as the
+// bare {} line and must come back as an empty row.
+func TestClientKeepsEmptyRows(t *testing.T) {
+	srv := streamServer(testStreamHeader, testStreamRow, `{}`, `{"trailer":{"rows":2,"elapsed_micros":1}}`)
+	defer srv.Close()
+	_, rows, trailer, err := (&Client{BaseURL: srv.URL}).Query(QueryRequest{Query: testQuery()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || trailer.Rows != 2 {
+		t.Fatalf("%d rows, trailer %+v; want 2", len(rows), trailer)
+	}
+	if !rows[0].Equal(value.NewRow("a", value.Int(1))) || len(rows[1]) != 0 {
+		t.Errorf("rows = %v", rows)
+	}
+}
+
+// TestClientRejectsRowCountMismatch: rows that do not add up to the
+// trailer's count are a broken stream, not a short answer.
+func TestClientRejectsRowCountMismatch(t *testing.T) {
+	srv := streamServer(testStreamHeader, testStreamRow, `{"trailer":{"rows":2,"elapsed_micros":1}}`)
+	defer srv.Close()
+	_, _, _, err := (&Client{BaseURL: srv.URL}).Query(QueryRequest{Query: testQuery()})
+	var broken *StreamBrokenError
+	var count *StreamRowCountError
+	if !errors.As(err, &broken) || !errors.As(err, &count) {
+		t.Fatalf("err = %v, want StreamBrokenError caused by StreamRowCountError", err)
+	}
+	if count.Rows != 1 || count.TrailerRows != 2 || broken.RowsRead != 1 {
+		t.Errorf("count = %+v, broken = %+v", count, broken)
+	}
+}

@@ -1,7 +1,6 @@
 package value
 
 import (
-	"encoding/json"
 	"hash/fnv"
 	"sort"
 	"strings"
@@ -163,21 +162,4 @@ func (r Row) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// MarshalJSON encodes the row as a JSON object of tagged values. The type
-// conversion sheds the MarshalJSON method (so encoding/json takes its
-// plain-map path instead of recursing) without copying the map.
-func (r Row) MarshalJSON() ([]byte, error) {
-	return json.Marshal(map[string]Value(r))
-}
-
-// UnmarshalJSON decodes the object form produced by MarshalJSON.
-func (r *Row) UnmarshalJSON(data []byte) error {
-	var m map[string]Value
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	*r = Row(m)
-	return nil
 }

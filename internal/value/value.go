@@ -56,26 +56,21 @@ func (k Kind) String() string {
 
 // KindFromString parses a kind name produced by Kind.String.
 func KindFromString(s string) (Kind, error) {
-	switch s {
-	case "null":
-		return KindNull, nil
-	case "bool":
-		return KindBool, nil
-	case "int":
-		return KindInt, nil
-	case "float":
-		return KindFloat, nil
-	case "string":
-		return KindString, nil
-	case "time":
-		return KindTime, nil
-	case "span":
-		return KindSpan, nil
-	case "list":
-		return KindList, nil
-	default:
-		return KindNull, fmt.Errorf("value: unknown kind %q", s)
+	if k, ok := kindOf(s); ok {
+		return k, nil
 	}
+	return KindNull, fmt.Errorf("value: unknown kind %q", s)
+}
+
+// kindOf looks a kind name up without allocating, for string or byte
+// input alike.
+func kindOf[S string | []byte](s S) (Kind, bool) {
+	for k := KindNull; k <= KindList; k++ {
+		if string(s) == k.String() {
+			return k, true
+		}
+	}
+	return KindNull, false
 }
 
 // Value is an immutable dynamically typed cell. The zero Value is Null.

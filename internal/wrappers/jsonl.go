@@ -2,7 +2,6 @@ package wrappers
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -25,6 +24,7 @@ func readJSONL(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 	}
 	defer f.Close()
 	var rows []value.Row
+	dec := value.NewDecoder()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	line := 0
@@ -34,8 +34,8 @@ func readJSONL(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 		if len(text) == 0 {
 			continue
 		}
-		var row value.Row
-		if err := json.Unmarshal(text, &row); err != nil {
+		row, err := dec.DecodeRow(text)
+		if err != nil {
 			return nil, fmt.Errorf("wrappers: jsonl %s line %d: %w", src.Path, line, err)
 		}
 		rows = append(rows, row)
@@ -58,15 +58,10 @@ func writeJSONL(ds *dataset.Dataset, dst Source) error {
 	}
 	defer f.Close()
 	w := bufio.NewWriter(f)
+	var line []byte
 	for _, row := range ds.Collect() {
-		data, err := json.Marshal(row)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		if err := w.WriteByte('\n'); err != nil {
+		line = append(value.AppendRowJSON(line[:0], row), '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}

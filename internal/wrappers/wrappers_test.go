@@ -168,9 +168,10 @@ func TestJSONLBadLine(t *testing.T) {
 	ctx := rdd.NewContext(1)
 	path := filepath.Join(t.TempDir(), "bad.jsonl")
 	SaveSchema(path, semantics.NewSchema("a", semantics.ValueEntry("count", "count")))
-	os.WriteFile(path, []byte("{not json\n"), 0o644)
-	if _, err := Read(ctx, Source{Format: "jsonl", Path: path}); err == nil {
-		t.Error("bad JSONL line should fail")
+	os.WriteFile(path, []byte(`{"a":{"k":"int","n":1}}`+"\n\n{not json\n"), 0o644)
+	_, err := Read(ctx, Source{Format: "jsonl", Path: path})
+	if err == nil || !strings.Contains(err.Error(), "line 3:") {
+		t.Errorf("bad JSONL line: err = %v, want an error naming line 3", err)
 	}
 }
 
